@@ -22,14 +22,19 @@ fmt-check:
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
+# BENCH_TO_JSON converts `go test -bench` output into the JSON array the
+# committed BENCH_*.json baselines and cmd/benchcheck read: one
+# {"name","iterations","ns_per_op"} object per benchmark line.
+BENCH_TO_JSON = awk 'BEGIN { print "[" } \
+	/^Benchmark/ { if (n++) printf ",\n"; \
+		printf "  {\"name\":\"%s\",\"iterations\":%s,\"ns_per_op\":%s}", $$1, $$2, $$3 } \
+	END { print "\n]" }'
+
 # bench-json runs the benchmark suite once and converts the results into
 # machine-readable JSON (BENCH_exec.json) for tracking across commits.
 bench-json:
 	@$(GO) test -run=NONE -bench=. -benchtime=1x ./... > BENCH_exec.txt
-	@awk 'BEGIN { print "[" } \
-		/^Benchmark/ { if (n++) printf ",\n"; \
-			printf "  {\"name\":\"%s\",\"iterations\":%s,\"ns_per_op\":%s}", $$1, $$2, $$3 } \
-		END { print "\n]" }' BENCH_exec.txt > BENCH_exec.json
+	@$(BENCH_TO_JSON) BENCH_exec.txt > BENCH_exec.json
 	@rm -f BENCH_exec.txt
 	@echo "wrote BENCH_exec.json"
 
@@ -39,10 +44,7 @@ bench-json:
 bench-store:
 	@$(GO) test -run=NONE -bench='Demote|Promote|DiskFetch|LedgerOverhead' -benchtime=20x \
 		./internal/store/ > BENCH_store.txt
-	@awk 'BEGIN { print "[" } \
-		/^Benchmark/ { if (n++) printf ",\n"; \
-			printf "  {\"name\":\"%s\",\"iterations\":%s,\"ns_per_op\":%s}", $$1, $$2, $$3 } \
-		END { print "\n]" }' BENCH_store.txt > BENCH_store.json
+	@$(BENCH_TO_JSON) BENCH_store.txt > BENCH_store.json
 	@rm -f BENCH_store.txt
 	@echo "wrote BENCH_store.json"
 
@@ -51,10 +53,7 @@ bench-store:
 # Regressions warn by default; BENCH_STRICT=1 makes them fatal.
 bench-check:
 	@$(GO) test -run=NONE -bench=. -benchtime=1x ./... > BENCH_check.txt
-	@awk 'BEGIN { print "[" } \
-		/^Benchmark/ { if (n++) printf ",\n"; \
-			printf "  {\"name\":\"%s\",\"iterations\":%s,\"ns_per_op\":%s}", $$1, $$2, $$3 } \
-		END { print "\n]" }' BENCH_check.txt > BENCH_check.json
+	@$(BENCH_TO_JSON) BENCH_check.txt > BENCH_check.json
 	@rm -f BENCH_check.txt
 	@$(GO) run ./cmd/benchcheck -new BENCH_check.json BENCH_exec.json BENCH_store.json; \
 		status=$$?; rm -f BENCH_check.json; exit $$status

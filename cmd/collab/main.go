@@ -283,17 +283,9 @@ func runStats(args []string) error {
 			st.Pool.QueueWaitSec, st.Pool.Utilization)
 	}
 	if *clients {
-		resp, err := http.Get(*server + "/v1/clients?format=text")
+		body, err := fetchDebug("clients", *server+"/v1/clients?format=text")
 		if err != nil {
 			return err
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("clients: HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
 		}
 		fmt.Println()
 		_, err = os.Stdout.Write(body)
@@ -342,17 +334,9 @@ func runCritpath(args []string) error {
 	if !*asJSON {
 		q.Set("format", "text")
 	}
-	resp, err := http.Get(*server + "/v1/critpath?" + q.Encode())
+	body, err := fetchDebug("critpath", *server+"/v1/critpath?"+q.Encode())
 	if err != nil {
 		return err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("critpath: HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
 	}
 	_, err = os.Stdout.Write(body)
 	return err
@@ -396,17 +380,9 @@ func runArtifacts(args []string) error {
 	if !*asJSON {
 		q.Set("format", "text")
 	}
-	resp, err := http.Get(*server + "/v1/artifacts?" + q.Encode())
+	body, err := fetchDebug("artifacts", *server+"/v1/artifacts?"+q.Encode())
 	if err != nil {
 		return err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("artifacts: HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
 	}
 	_, err = os.Stdout.Write(body)
 	return err
@@ -428,17 +404,9 @@ func runExplain(args []string) error {
 	if *target == "eg" {
 		u = *server + "/v1/explain?format=" + *format + "&target=eg"
 	}
-	resp, err := http.Get(u)
+	body, err := fetchDebug("explain", u)
 	if err != nil {
 		return err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("explain: HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
 	}
 	_, err = os.Stdout.Write(body)
 	return err
@@ -497,17 +465,9 @@ func runCalibration(args []string) error {
 	if *asJSON {
 		format = "json"
 	}
-	resp, err := http.Get(*server + "/v1/calibration?format=" + format)
+	body, err := fetchDebug("calibration", *server+"/v1/calibration?format="+format)
 	if err != nil {
 		return err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("calibration: HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
 	}
 	_, err = os.Stdout.Write(body)
 	return err
@@ -538,17 +498,9 @@ func runRequests(args []string) error {
 	if len(q) > 0 {
 		u += "?" + q.Encode()
 	}
-	resp, err := http.Get(u)
+	body, err := fetchDebug("requests", u)
 	if err != nil {
 		return err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("requests: HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
 	}
 	if *asJSON {
 		_, err = os.Stdout.Write(body)
@@ -574,6 +526,24 @@ func runRequests(args []string) error {
 		fmt.Println(line)
 	}
 	return nil
+}
+
+// fetchDebug GETs one of the server's debug surfaces and returns the body;
+// any answer but 200 becomes an error naming the subcommand.
+func fetchDebug(name, u string) ([]byte, error) {
+	resp, err := http.Get(u)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("%s: HTTP %d: %s", name, resp.StatusCode, strings.TrimSpace(string(body)))
+	}
+	return body, nil
 }
 
 // runBenchServe is the open-loop load harness (same engine as cmd/loadgen):

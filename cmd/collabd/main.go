@@ -17,8 +17,9 @@
 // Prometheus-style metrics are always served at /metrics (including
 // per-route request histograms, counters, and inflight gauges), liveness at
 // /healthz, and readiness at /readyz; -trace N keeps a rolling buffer of
-// server spans exported at /v1/trace as Chrome trace JSON; -explain N keeps
-// the last N optimizer decision records exported at /v1/explain;
+// the newest N server trace events, exported at /v1/trace as Chrome trace
+// JSON and analyzed per request at /v1/critpath; -explain N keeps the
+// last N optimizer decision records exported at /v1/explain;
 // -requests N keeps a flight recorder of the last N request summaries
 // exported at /v1/requests (`collab requests`); -clients N attributes
 // requests, wall time, bytes, and lock wait to up to N distinct callers
@@ -143,16 +144,6 @@ func main() {
 	if *explainCap > 0 {
 		srvOpts = append(srvOpts, core.WithExplain(explain.NewRecorder(*explainCap)))
 	}
-	if *requestCap > 0 {
-		srvOpts = append(srvOpts, core.WithFlightRecorder(obs.NewFlightRecorder(*requestCap)))
-	} else {
-		srvOpts = append(srvOpts, core.WithFlightRecorder(nil))
-	}
-	if *clientCap > 0 {
-		srvOpts = append(srvOpts, core.WithClientTable(obs.NewClientTable(*clientCap)))
-	} else {
-		srvOpts = append(srvOpts, core.WithClientTable(nil))
-	}
 	if *ledgerCap > 0 {
 		srvOpts = append(srvOpts, core.WithArtifactLedger(obs.NewArtifactLedger(*ledgerCap)))
 	} else {
@@ -235,10 +226,20 @@ func main() {
 		"trace", traceState(*traceCap), "explain", explainState(*explainCap),
 		"requests", requestState(*requestCap), "clients", clientsState(*clientCap),
 		"artifacts", ledgerState(*ledgerCap), "pprof", *pprofOn)
+	var flight *obs.FlightRecorder
+	if *requestCap > 0 {
+		flight = obs.NewFlightRecorder(*requestCap)
+	}
+	var clients *obs.ClientTable
+	if *clientCap > 0 {
+		clients = obs.NewClientTable(*clientCap)
+	}
 	handler := remote.NewHandler(srv,
 		remote.WithHandlerLogger(logger),
 		remote.WithSlowRequestWarn(*slowWarn),
-		remote.WithPprof(*pprofOn))
+		remote.WithPprof(*pprofOn),
+		remote.WithFlightRecorder(flight),
+		remote.WithClientTable(clients))
 	if err := http.ListenAndServe(*addr, handler); err != nil {
 		logger.Error("server exited", "err", err)
 		os.Exit(1)

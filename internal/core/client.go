@@ -139,9 +139,7 @@ func (c *Client) Run(w *graph.DAG) (*RunResult, error) {
 	// measurement defaults on for client-driven runs — the caller's own
 	// options come later, so an explicit WithCalibration(false) wins.
 	execOpts := append([]ExecOption{WithCalibration(true)}, c.execOpts...)
-	if tr != nil {
-		execOpts = append(execOpts, WithRequestID(rid))
-	}
+	execOpts = append(execOpts, WithRequestID(rid))
 	res, err := Execute(w, opt.Plan, c.srv, execOpts...)
 	if err != nil {
 		return nil, err

@@ -75,9 +75,11 @@ func WithTrace(t *obs.Trace) ExecOption {
 	return func(c *execConfig) { c.trace = t }
 }
 
-// WithRequestID tags the execution's top-level trace span with the run's
-// correlation ID (see obs.RequestIDKey). It only takes effect when a trace
-// recorder is attached; the untraced path is unaffected.
+// WithRequestID attributes the execution to the run's correlation ID (see
+// obs.RequestIDKey): the top-level trace span carries it when a trace
+// recorder is attached, and EG fetches go through a RequestTieredFetcher
+// when the source implements one, so a disk-hit promotion lands on the
+// artifact ledger tagged with the run that caused it.
 func WithRequestID(id string) ExecOption {
 	return func(c *execConfig) { c.requestID = id }
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/obs"
 	"repro/internal/store"
+	"repro/internal/tier"
 	"repro/internal/workloads/synth"
 )
 
@@ -86,5 +87,41 @@ func TestLedgerDisabledServer(t *testing.T) {
 	}
 	if srv.Store.Ledger() != nil {
 		t.Fatal("store should have no ledger attached when disabled")
+	}
+}
+
+// TestLedgerPromotionCarriesRunID pins that an untraced in-process run
+// still attributes its fetches: with a one-byte memory budget every
+// artifact lives on disk, so the repeat run's reuse fetches promote, and
+// each promotion event must name that run's request ID.
+func TestLedgerPromotionCarriesRunID(t *testing.T) {
+	disk, _, err := tier.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(store.NewTiered(cost.Memory(), store.Options{Disk: disk, MemoryBudget: 1}))
+	client := NewClient(srv, WithParallelism(1))
+	wp := synth.WideProfile{Branches: 2, Depth: 2, Sleep: 2 * time.Millisecond}
+	if _, err := client.Run(synth.Wide(wp, 1)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := client.Run(synth.Wide(wp, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	promoted := 0
+	for _, rec := range srv.ArtifactLedger().Snapshot(obs.ArtifactQuery{}) {
+		for _, ev := range rec.Events {
+			if ev.Kind != obs.ArtifactPromoted {
+				continue
+			}
+			promoted++
+			if ev.RequestID != res.RequestID {
+				t.Errorf("promotion of %s tagged %q, want run 2's %q", rec.ID, ev.RequestID, res.RequestID)
+			}
+		}
+	}
+	if promoted == 0 {
+		t.Fatalf("run 2 reused %d vertices but promoted nothing from disk", res.Reused)
 	}
 }

@@ -67,25 +67,12 @@ type Server struct {
 	// Bounded: an update never arriving must not leak memory.
 	pendingRuns map[string]calib.ClientRun
 
-	// flight is the request flight recorder: optimize/update annotate the
-	// in-flight request here and the HTTP middleware records the finished
-	// summary, served at /v1/requests. Default-on with a small ring;
-	// WithFlightRecorder(nil) disables it (nil is a zero-cost no-op).
-	flight    *obs.FlightRecorder
-	flightSet bool
-	// clients is the per-client attribution table fed by the HTTP layer
-	// (requests, wall time, bytes, lock wait per caller), served at
-	// /v1/clients. Default-on with a small cap; WithClientTable(nil)
-	// disables it (nil is a zero-cost no-op).
-	clients    *obs.ClientTable
-	clientsSet bool
 	// ledger is the artifact lifecycle ledger: the store feeds it residency
 	// transitions, the updater feeds it per-reuse realized savings, and it
 	// is served at /v1/artifacts. Default-on with a small cap;
 	// WithArtifactLedger(nil) disables it (the store's detached fast path
 	// is one atomic pointer load).
-	ledger    *obs.ArtifactLedger
-	ledgerSet bool
+	ledger *obs.ArtifactLedger
 	// started anchors collab_uptime_seconds; version/goVersion back the
 	// collab_build_info metric and /v1/stats.
 	started   obs.Stopwatch
@@ -266,25 +253,11 @@ func WithLogger(l *slog.Logger) ServerOption {
 	return func(srv *Server) { srv.log = l }
 }
 
-// WithFlightRecorder replaces the default request flight recorder (a
-// DefaultFlightCap-entry ring). Pass a larger ring to keep more history,
-// or nil to disable recording entirely.
-func WithFlightRecorder(f *obs.FlightRecorder) ServerOption {
-	return func(srv *Server) { srv.flight = f; srv.flightSet = true }
-}
-
-// WithClientTable replaces the default per-client attribution table (a
-// DefaultClientCap-entry table). Pass a larger table to track more
-// distinct clients, or nil to disable attribution entirely.
-func WithClientTable(t *obs.ClientTable) ServerOption {
-	return func(srv *Server) { srv.clients = t; srv.clientsSet = true }
-}
-
 // WithArtifactLedger replaces the default artifact lifecycle ledger (a
 // DefaultLedgerCap-entry table). Pass a larger ledger to track more
 // distinct artifacts, or nil to disable lifecycle accounting entirely.
 func WithArtifactLedger(l *obs.ArtifactLedger) ServerOption {
-	return func(srv *Server) { srv.ledger = l; srv.ledgerSet = true }
+	return func(srv *Server) { srv.ledger = l }
 }
 
 // NewServer builds a server around the given store.
@@ -295,6 +268,7 @@ func NewServer(st *store.Manager, opts ...ServerOption) *Server {
 		budget:      1 << 30,
 		calib:       calib.NewCollector(),
 		pendingRuns: make(map[string]calib.ClientRun),
+		ledger:      obs.NewArtifactLedger(0),
 		started:     obs.StartTimer(),
 	}
 	srv.version, srv.goVersion = obs.BuildInfo()
@@ -303,15 +277,6 @@ func NewServer(st *store.Manager, opts ...ServerOption) *Server {
 	srv.planner = reuse.Linear{}
 	for _, o := range opts {
 		o(srv)
-	}
-	if !srv.flightSet {
-		srv.flight = obs.NewFlightRecorder(0)
-	}
-	if !srv.clientsSet {
-		srv.clients = obs.NewClientTable(0)
-	}
-	if !srv.ledgerSet {
-		srv.ledger = obs.NewArtifactLedger(0)
 	}
 	srv.initMetrics()
 	return srv
@@ -384,16 +349,6 @@ func (s *Server) initMetrics() {
 		"build identity of this server (constant 1; facts travel in the labels)").Set(1)
 	reg.GaugeFunc("collab_uptime_seconds", "seconds since this server was constructed",
 		func() float64 { return s.UptimeSeconds() })
-	// Flight-recorder health: ring occupancy and capacity.
-	if s.flight != nil {
-		reg.GaugeFunc("collab_flight_requests", "request summaries retained by the flight recorder",
-			func() float64 { return float64(s.flight.Len()) })
-		reg.GaugeFunc("collab_flight_capacity", "flight recorder ring capacity",
-			func() float64 { return float64(s.flight.Cap()) })
-		reg.GaugeFunc("collab_flight_pending_evicted_total",
-			"in-flight request annotations discarded by the pending-map bound",
-			func() float64 { return float64(s.flight.PendingEvicted()) })
-	}
 	// Artifact lifecycle ledger: attach to the store (deriving rent rates
 	// from the tier profiles and seeding entries for recovered artifacts)
 	// and expose the aggregate economics. The per-kind event counters use
@@ -422,12 +377,6 @@ func (s *Server) initMetrics() {
 				"artifact lifecycle events by kind",
 				func() float64 { return float64(s.ledger.EventCount(kind)) })
 		}
-	}
-	// Per-client attribution health: distinct clients currently tracked
-	// (the cap plus one overflow bucket is the ceiling).
-	if s.clients != nil {
-		reg.GaugeFunc("collab_clients_tracked", "distinct clients in the attribution table",
-			func() float64 { return float64(s.clients.Len()) })
 	}
 	// Trace-recorder health: without these gauges, drops are only visible
 	// inside the exported trace JSON.
@@ -459,14 +408,6 @@ func (s *Server) Explain() *explain.Recorder { return s.explain }
 // Calibration returns the server's calibration collector (always
 // non-nil), backing /v1/calibration and the collab_calib_* metrics.
 func (s *Server) Calibration() *calib.Collector { return s.calib }
-
-// Flight returns the request flight recorder backing /v1/requests, or nil
-// when recording is disabled.
-func (s *Server) Flight() *obs.FlightRecorder { return s.flight }
-
-// Clients returns the per-client attribution table backing /v1/clients, or
-// nil when attribution is disabled.
-func (s *Server) Clients() *obs.ClientTable { return s.clients }
 
 // ArtifactLedger returns the artifact lifecycle ledger backing
 // /v1/artifacts, or nil when lifecycle accounting is disabled.
@@ -612,6 +553,9 @@ type Optimization struct {
 	Warmstarts []reuse.WarmstartCandidate
 	// Overhead is the time the reuse planner spent.
 	Overhead time.Duration
+	// LockWait is the time the request queued on the server mutex before
+	// planning could start.
+	LockWait time.Duration
 }
 
 // Optimize runs the reuse planner on a pruned workload DAG (Figure 2,
@@ -644,16 +588,6 @@ func (s *Server) OptimizeReq(w *graph.DAG, requestID string) *Optimization {
 	m.planPrunedCost.Add(int64(plan.Stats.PrunedByCost))
 	m.planPrunedNoMat.Add(int64(plan.Stats.PrunedNotMaterialized))
 	m.warmstartsFound.Add(int64(len(ws)))
-	if s.flight != nil && requestID != "" {
-		s.flight.Annotate(requestID, obs.RequestAnnotation{
-			Vertices:      w.Len(),
-			Reused:        len(plan.Reuse),
-			Computes:      plan.Stats.Computes,
-			Warmstarts:    len(ws),
-			PlanNanos:     overhead.Nanoseconds(),
-			LockWaitNanos: lockWait.Nanoseconds(),
-		})
-	}
 	if s.explain != nil {
 		s.explain.Add(explain.BuildOptimize(w, costs, plan, s.planner.Name(), requestID, ws))
 	}
@@ -676,7 +610,7 @@ func (s *Server) OptimizeReq(w *graph.DAG, requestID string) *Optimization {
 			slog.Int("warmstarts", len(ws)),
 			slog.Duration("overhead", overhead))
 	}
-	return &Optimization{Plan: plan, Warmstarts: ws, Overhead: overhead}
+	return &Optimization{Plan: plan, Warmstarts: ws, Overhead: overhead, LockWait: lockWait}
 }
 
 // Update is the server's updater (Figure 2, step 5): it merges the
@@ -689,14 +623,13 @@ func (s *Server) Update(executed *graph.DAG) { s.UpdateReq(executed, "") }
 // UpdateReq is Update carrying a client-generated request ID for
 // correlation (see OptimizeReq).
 func (s *Server) UpdateReq(executed *graph.DAG, requestID string) {
-	release, lockWait := s.lockSection("update", requestID)
+	release, _ := s.lockSection("update", requestID)
 	defer release()
 	sw := obs.StartTimer()
 
 	// Calibration reads EG predictions, so it must run before Merge
 	// refreshes them with this run's measurements.
 	sc := s.observeExecutionLocked(executed, requestID)
-	s.annotateUpdateLocked(executed, requestID, lockWait)
 
 	s.EG.Merge(executed)
 
@@ -739,12 +672,14 @@ func (s *Server) UpdateReq(executed *graph.DAG, requestID string) {
 // upload via PutArtifact — the newly selected artifacts plus any missing
 // raw sources.
 func (s *Server) UpdateMeta(executed *graph.DAG) (want []string) {
-	return s.UpdateMetaReq(executed, "")
+	want, _ = s.UpdateMetaReq(executed, "")
+	return want
 }
 
 // UpdateMetaReq is UpdateMeta carrying a client-generated request ID for
-// correlation (see OptimizeReq).
-func (s *Server) UpdateMetaReq(executed *graph.DAG, requestID string) (want []string) {
+// correlation (see OptimizeReq). It also returns the time the request
+// queued on the server mutex.
+func (s *Server) UpdateMetaReq(executed *graph.DAG, requestID string) (want []string, lockWait time.Duration) {
 	release, lockWait := s.lockSection("update", requestID)
 	defer release()
 	sw := obs.StartTimer()
@@ -752,7 +687,6 @@ func (s *Server) UpdateMetaReq(executed *graph.DAG, requestID string) (want []st
 	// Calibration reads EG predictions, so it must run before Merge
 	// refreshes them with this run's measurements.
 	sc := s.observeExecutionLocked(executed, requestID)
-	s.annotateUpdateLocked(executed, requestID, lockWait)
 
 	s.EG.Merge(executed)
 	touched := make([]string, 0, executed.Len())
@@ -776,7 +710,7 @@ func (s *Server) UpdateMetaReq(executed *graph.DAG, requestID string) (want []st
 			slog.Int("want", len(want)),
 			slog.Duration("elapsed", sw.Elapsed()))
 	}
-	return want
+	return want, lockWait
 }
 
 // observeExecutionLocked feeds the calibration collector from an executed
@@ -854,48 +788,24 @@ func (s *Server) observeExecutionLocked(executed *graph.DAG, requestID string) *
 	return &sc
 }
 
-// annotateUpdateLocked contributes the executed DAG's shape to the flight
-// recorder entry of the in-flight update request. The optimize phase of
-// the same run recorded its own summary already (separate HTTP request),
-// so this annotation only carries what the update knows: how many
-// vertices merged and how many the client actually loaded from EG.
-func (s *Server) annotateUpdateLocked(executed *graph.DAG, requestID string, lockWait time.Duration) {
-	if s.flight == nil || requestID == "" {
-		return
-	}
-	reused := 0
-	for _, n := range executed.Nodes() {
-		if n.LoadedFromEG {
-			reused++
-		}
-	}
-	s.flight.Annotate(requestID, obs.RequestAnnotation{
-		Vertices:      executed.Len(),
-		Reused:        reused,
-		LockWaitNanos: lockWait.Nanoseconds(),
-	})
-}
-
 // PutArtifact stores uploaded content for a vertex and marks it
 // materialized. It is the upload half of the remote update protocol.
 func (s *Server) PutArtifact(id string, a graph.Artifact) error {
-	return s.PutArtifactReq(id, a, "")
+	_, err := s.PutArtifactReq(id, a, "")
+	return err
 }
 
-// PutArtifactReq is PutArtifact carrying a client-generated request ID so
-// the lock wait of an upload is attributed to the request that suffered it
-// (see OptimizeReq).
-func (s *Server) PutArtifactReq(id string, a graph.Artifact, requestID string) error {
+// PutArtifactReq is PutArtifact carrying a client-generated request ID,
+// which tags the upload's lock-wait span and ledger event. It returns the
+// time the upload queued on the server mutex.
+func (s *Server) PutArtifactReq(id string, a graph.Artifact, requestID string) (lockWait time.Duration, err error) {
 	release, lockWait := s.lockSection("materialize", requestID)
 	defer release()
-	if s.flight != nil && requestID != "" {
-		s.flight.Annotate(requestID, obs.RequestAnnotation{LockWaitNanos: lockWait.Nanoseconds()})
-	}
 	if err := s.Store.PutReq(id, a, requestID); err != nil {
-		return err
+		return lockWait, err
 	}
 	s.EG.SetMaterialized(id, true)
-	return nil
+	return lockWait, nil
 }
 
 // applySelectionLocked stores sources, runs the materialization strategy,

@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"sync"
 	"time"
 )
 
@@ -24,8 +23,9 @@ type RequestSummary struct {
 	WallNanos     int64 `json:"wall_ns"`
 	BytesIn       int64 `json:"bytes_in"`
 	BytesOut      int64 `json:"bytes_out"`
-	// Optimizer enrichment, populated via Annotate by the optimize and
-	// update paths; all zero for plain transport requests.
+	// Optimizer enrichment, filled by the optimize/update/artifact
+	// handlers from the values core returns; all zero for plain transport
+	// requests.
 	Vertices   int   `json:"vertices,omitempty"`
 	Reused     int   `json:"reuse,omitempty"`
 	Computes   int   `json:"computes,omitempty"`
@@ -34,17 +34,6 @@ type RequestSummary struct {
 	// LockWaitNanos is time the request spent queued on the server mutex
 	// before its section (optimize/update/materialize) could run.
 	LockWaitNanos int64 `json:"lock_wait_ns,omitempty"`
-}
-
-// RequestAnnotation is the optimizer's contribution to a request summary,
-// keyed by request ID until the middleware records the finished request.
-type RequestAnnotation struct {
-	Vertices      int
-	Reused        int
-	Computes      int
-	Warmstarts    int
-	PlanNanos     int64
-	LockWaitNanos int64
 }
 
 // RequestFilter selects summaries from the flight recorder. The zero
@@ -60,32 +49,16 @@ type RequestFilter struct {
 }
 
 // FlightRecorder is a bounded, race-safe ring of recent request
-// summaries — the serving tier's black box. The middleware records one
-// summary per finished request; the optimize/update paths enrich the
-// in-flight request via Annotate. A nil recorder records nothing and
-// serves empty snapshots, so callers hold it without guards.
+// summaries — the serving tier's black box. The HTTP middleware records
+// one summary per finished request, already carrying the optimizer facts
+// the handler collected in the request's scope. A nil recorder records
+// nothing and serves empty snapshots, so callers hold it without guards.
 type FlightRecorder struct {
-	mu   sync.Mutex
-	capN int
-	seq  int64
-	buf  []RequestSummary // ring storage, len == capN once full
-	next int              // slot the next summary lands in
-	full bool
-	// pending holds annotations for requests still in flight, popped by
-	// Record. Bounded: an annotation whose request never finishes (client
-	// gone mid-handler) must not leak. pendingEvicted counts annotations
-	// discarded by that bound (exported as a /metrics gauge).
-	pending        map[string]RequestAnnotation
-	pendingEvicted int64
+	ring *Ring[RequestSummary]
 }
 
 // DefaultFlightCap bounds a NewFlightRecorder(0) ring.
 const DefaultFlightCap = 256
-
-// maxPendingAnnotations bounds the in-flight annotation buffer; beyond it
-// the buffer is dropped wholesale (annotations for abandoned requests are
-// worthless, and inflight requests re-annotate on their next phase).
-const maxPendingAnnotations = 512
 
 // NewFlightRecorder returns a recorder retaining the last n summaries
 // (n <= 0 selects DefaultFlightCap).
@@ -93,7 +66,7 @@ func NewFlightRecorder(n int) *FlightRecorder {
 	if n <= 0 {
 		n = DefaultFlightCap
 	}
-	return &FlightRecorder{capN: n, pending: make(map[string]RequestAnnotation)}
+	return &FlightRecorder{ring: NewRing(n, func(s *RequestSummary, seq int64) { s.Seq = seq })}
 }
 
 // Enabled reports whether the recorder is non-nil.
@@ -104,7 +77,7 @@ func (f *FlightRecorder) Cap() int {
 	if f == nil {
 		return 0
 	}
-	return f.capN
+	return f.ring.Cap()
 }
 
 // Len returns the number of retained summaries.
@@ -112,80 +85,16 @@ func (f *FlightRecorder) Len() int {
 	if f == nil {
 		return 0
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.full {
-		return f.capN
-	}
-	return f.next
+	return f.ring.Len()
 }
 
-// Annotate attaches optimizer facts to the in-flight request with the
-// given ID; Record merges and clears them when the request finishes.
-// Empty IDs are ignored (nothing to correlate against).
-func (f *FlightRecorder) Annotate(requestID string, ann RequestAnnotation) {
-	if f == nil || requestID == "" {
+// Record stamps the summary's sequence number and appends it to the ring,
+// evicting the oldest entry once full.
+func (f *FlightRecorder) Record(s RequestSummary) {
+	if f == nil {
 		return
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(f.pending) >= maxPendingAnnotations {
-		f.pendingEvicted += int64(len(f.pending))
-		clear(f.pending)
-	}
-	f.pending[requestID] = ann
-}
-
-// PendingEvicted returns how many in-flight annotations the pending-map
-// bound has discarded over the recorder's lifetime.
-func (f *FlightRecorder) PendingEvicted() int64 {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.pendingEvicted
-}
-
-// Record stamps the summary's sequence number, merges any pending
-// annotation for its request ID, and appends it to the ring (evicting the
-// oldest entry once full). It returns the merged summary so the caller
-// can feed downstream accounting (the per-client table) with the
-// annotation-enriched view.
-func (f *FlightRecorder) Record(s RequestSummary) RequestSummary {
-	if f == nil {
-		return s
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if ann, ok := f.pending[s.RequestID]; ok {
-		delete(f.pending, s.RequestID)
-		s.Vertices = ann.Vertices
-		s.Reused = ann.Reused
-		s.Computes = ann.Computes
-		s.Warmstarts = ann.Warmstarts
-		s.PlanNanos = ann.PlanNanos
-		s.LockWaitNanos = ann.LockWaitNanos
-	}
-	f.seq++
-	s.Seq = f.seq
-	if f.buf == nil {
-		f.buf = make([]RequestSummary, 0, f.capN)
-	}
-	if !f.full {
-		f.buf = append(f.buf, s)
-		f.next++
-		if f.next == f.capN {
-			f.full, f.next = true, 0
-		}
-		return s
-	}
-	f.buf[f.next] = s
-	f.next++
-	if f.next == f.capN {
-		f.next = 0
-	}
-	return s
+	f.ring.Push(s)
 }
 
 // Snapshot returns the retained summaries matching the filter, oldest
@@ -194,15 +103,7 @@ func (f *FlightRecorder) Snapshot(filter RequestFilter) []RequestSummary {
 	if f == nil {
 		return nil
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	ordered := make([]RequestSummary, 0, len(f.buf))
-	if f.full {
-		ordered = append(ordered, f.buf[f.next:]...)
-		ordered = append(ordered, f.buf[:f.next]...)
-	} else {
-		ordered = append(ordered, f.buf[:f.next]...)
-	}
+	ordered := f.ring.Snapshot()
 	matched := ordered[:0]
 	for _, s := range ordered {
 		if filter.Route != "" && s.Route != filter.Route {

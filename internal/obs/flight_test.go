@@ -17,7 +17,6 @@ var update = flag.Bool("update", false, "rewrite golden files")
 func TestFlightRecorderNilSafe(t *testing.T) {
 	var f *FlightRecorder
 	f.Record(RequestSummary{Route: "/v1/optimize"})
-	f.Annotate("abc", RequestAnnotation{Vertices: 3})
 	if f.Enabled() || f.Len() != 0 || f.Cap() != 0 {
 		t.Fatal("nil recorder should be disabled and empty")
 	}
@@ -49,43 +48,6 @@ func TestFlightRecorderWraparound(t *testing.T) {
 			t.Errorf("entry %d = seq %d id %s, want seq %d id %s",
 				i, s.Seq, s.RequestID, wantSeq, wantID)
 		}
-	}
-}
-
-func TestFlightRecorderAnnotationMerge(t *testing.T) {
-	f := NewFlightRecorder(8)
-	f.Annotate("req-1", RequestAnnotation{
-		Vertices: 5, Reused: 2, Computes: 3, Warmstarts: 1, PlanNanos: 42,
-	})
-	// A summary for a different request must not consume the annotation.
-	f.Record(RequestSummary{RequestID: "req-other", Route: "/v1/stats"})
-	f.Record(RequestSummary{RequestID: "req-1", Route: "/v1/optimize", Status: 200})
-	got := f.Snapshot(RequestFilter{Route: "/v1/optimize"})
-	if len(got) != 1 {
-		t.Fatalf("want 1 optimize summary, got %d", len(got))
-	}
-	s := got[0]
-	if s.Vertices != 5 || s.Reused != 2 || s.Computes != 3 || s.Warmstarts != 1 || s.PlanNanos != 42 {
-		t.Errorf("annotation not merged: %+v", s)
-	}
-	// The annotation is popped: a second request with the same ID stays bare.
-	f.Record(RequestSummary{RequestID: "req-1", Route: "/v1/update"})
-	upd := f.Snapshot(RequestFilter{Route: "/v1/update"})
-	if len(upd) != 1 || upd[0].Vertices != 0 {
-		t.Errorf("annotation should be consumed by the first Record: %+v", upd)
-	}
-}
-
-func TestFlightRecorderPendingBounded(t *testing.T) {
-	f := NewFlightRecorder(4)
-	for i := 0; i < maxPendingAnnotations+10; i++ {
-		f.Annotate(fmt.Sprintf("r%d", i), RequestAnnotation{Vertices: i})
-	}
-	f.mu.Lock()
-	n := len(f.pending)
-	f.mu.Unlock()
-	if n > maxPendingAnnotations {
-		t.Fatalf("pending annotations grew to %d, cap is %d", n, maxPendingAnnotations)
 	}
 }
 
@@ -126,9 +88,6 @@ func TestFlightRecorderFilterDeterminism(t *testing.T) {
 // deliberately.
 func TestFlightRecorderJSONGolden(t *testing.T) {
 	f := NewFlightRecorder(8)
-	f.Annotate("aaaa000011112222", RequestAnnotation{
-		Vertices: 9, Reused: 4, Computes: 5, Warmstarts: 1, PlanNanos: 1500000,
-	})
 	f.Record(RequestSummary{
 		RequestID:     "aaaa000011112222",
 		Method:        "POST",
@@ -138,6 +97,11 @@ func TestFlightRecorderJSONGolden(t *testing.T) {
 		WallNanos:     2500000,
 		BytesIn:       512,
 		BytesOut:      128,
+		Vertices:      9,
+		Reused:        4,
+		Computes:      5,
+		Warmstarts:    1,
+		PlanNanos:     1500000,
 	})
 	f.Record(RequestSummary{
 		RequestID:     "bbbb000011112222",
@@ -167,7 +131,7 @@ func TestFlightRecorderJSONGolden(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderConcurrent hammers Record/Annotate/Snapshot/WriteJSON
+// TestFlightRecorderConcurrent hammers Record/Snapshot/WriteJSON
 // from many goroutines; the -race run is the assertion.
 func TestFlightRecorderConcurrent(t *testing.T) {
 	f := NewFlightRecorder(32)
@@ -178,8 +142,7 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				id := fmt.Sprintf("g%d-%d", g, i)
-				f.Annotate(id, RequestAnnotation{Vertices: i})
-				f.Record(RequestSummary{RequestID: id, Route: "/v1/optimize", WallNanos: int64(i)})
+				f.Record(RequestSummary{RequestID: id, Route: "/v1/optimize", WallNanos: int64(i), Vertices: i})
 			}
 		}(g)
 	}

@@ -183,10 +183,7 @@ type ledgerEntry struct {
 	savedSec                 float64
 	hold                     [2]tierHold // memory, disk
 
-	events        []ArtifactEvent // ring, len <= ledgerEventCap
-	next          int
-	full          bool
-	eventsDropped int64
+	events Ring[ArtifactEvent] // recent window, capacity ledgerEventCap
 }
 
 // ArtifactLedger is a bounded, race-safe per-artifact lifecycle and
@@ -270,38 +267,25 @@ func (l *ArtifactLedger) entryLocked(id string) *ledgerEntry {
 			l.dropped++
 			return nil
 		}
-		e = &ledgerEntry{id: id}
+		e = &ledgerEntry{id: id, events: Ring[ArtifactEvent]{max: ledgerEventCap}}
 		l.m[id] = e
 	}
 	return e
 }
 
-// appendLocked stamps and appends one event to the entry's ring.
+// appendLocked stamps one event with the ledger-wide sequence number and
+// appends it to the entry's ring.
 func (l *ArtifactLedger) appendLocked(e *ledgerEntry, kind, tier string, bytes int64, requestID string, now time.Time) {
 	l.seq++
 	l.eventCounts[kind]++
-	ev := ArtifactEvent{
+	e.events.Push(ArtifactEvent{
 		Seq:       l.seq,
 		Kind:      kind,
 		Tier:      tier,
 		Bytes:     bytes,
 		RequestID: requestID,
 		UnixNano:  now.UnixNano(),
-	}
-	if len(e.events) < ledgerEventCap {
-		e.events = append(e.events, ev)
-		e.next++
-		if e.next == ledgerEventCap {
-			e.full, e.next = true, 0
-		}
-		return
-	}
-	e.events[e.next] = ev
-	e.eventsDropped++
-	e.next++
-	if e.next == ledgerEventCap {
-		e.next = 0
-	}
+	})
 }
 
 // Event records one residency transition. kind is one of the Artifact*
@@ -466,14 +450,8 @@ func (l *ArtifactLedger) recordLocked(e *ledgerEntry, now time.Time) ArtifactRec
 		RentSec:       round9(rent),
 		NetSec:        round9(e.savedSec - rent),
 		Quarantined:   e.quarantined,
-		EventsDropped: e.eventsDropped,
-	}
-	rec.Events = make([]ArtifactEvent, 0, len(e.events))
-	if e.full {
-		rec.Events = append(rec.Events, e.events[e.next:]...)
-		rec.Events = append(rec.Events, e.events[:e.next]...)
-	} else {
-		rec.Events = append(rec.Events, e.events[:e.next]...)
+		EventsDropped: e.events.Dropped(),
+		Events:        e.events.Snapshot(),
 	}
 	return rec
 }
@@ -507,19 +485,16 @@ func (l *ArtifactLedger) Snapshot(q ArtifactQuery) []ArtifactRecord {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	now := l.now()
-	out := make([]ArtifactRecord, 0, len(l.m))
-	for _, e := range l.m {
-		if q.ID != "" && e.id != q.ID {
-			continue
-		}
-		out = append(out, l.recordLocked(e, now))
-	}
-	l.mu.Unlock()
+	_, _, recs := l.read(q.ID)
+	return sortRecords(recs, q.SortBy, q.Top)
+}
+
+// sortRecords orders records by the given ArtifactQuery sort key and
+// keeps the first top of them (0 keeps all).
+func sortRecords(out []ArtifactRecord, sortBy string, top int) []ArtifactRecord {
 	less := func(i, j int) bool { return out[i].ID < out[j].ID }
 	key := func(r ArtifactRecord) float64 { return r.NetSec }
-	switch q.SortBy {
+	switch sortBy {
 	case "id":
 		key = nil
 	case "saved":
@@ -541,8 +516,8 @@ func (l *ArtifactLedger) Snapshot(q ArtifactQuery) []ArtifactRecord {
 		}
 	}
 	sort.SliceStable(out, less)
-	if q.Top > 0 && len(out) > q.Top {
-		out = out[:q.Top]
+	if top > 0 && len(out) > top {
+		out = out[:top]
 	}
 	return out
 }
@@ -557,7 +532,11 @@ func (l *ArtifactLedger) Totals() (tracked int, saved, rent, net float64) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	now := l.now()
+	return l.totalsLocked(l.now())
+}
+
+// totalsLocked computes Totals at the given clock reading.
+func (l *ArtifactLedger) totalsLocked(now time.Time) (tracked int, saved, rent, net float64) {
 	for _, e := range l.m {
 		if e.quarantined {
 			continue
@@ -586,22 +565,37 @@ type ledgerExport struct {
 	Artifacts []ArtifactRecord `json:"artifacts"`
 }
 
+// read takes one reading of the whole ledger — under one lock, at one
+// clock reading — so an export's totals always agree with the records it
+// lists. exp carries the table-wide summary (Artifacts unset), tracked
+// the non-quarantined count, and recs the ID-filtered records, unsorted.
+func (l *ArtifactLedger) read(id string) (exp ledgerExport, tracked int, recs []ArtifactRecord) {
+	if l == nil {
+		return exp, 0, nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	now := l.now()
+	recs = make([]ArtifactRecord, 0, len(l.m))
+	for _, e := range l.m {
+		if id != "" && e.id != id {
+			continue
+		}
+		recs = append(recs, l.recordLocked(e, now))
+	}
+	tracked, exp.SavedSec, exp.RentSec, exp.NetSec = l.totalsLocked(now)
+	exp.Tracked, exp.Dropped = len(l.m), l.dropped
+	return exp, tracked, recs
+}
+
 // WriteJSON renders the selected records as byte-stable JSON.
 func (l *ArtifactLedger) WriteJSON(w io.Writer, q ArtifactQuery) error {
-	recs := l.Snapshot(q)
-	if recs == nil {
-		recs = []ArtifactRecord{}
+	exp, _, recs := l.read(q.ID)
+	exp.Artifacts = sortRecords(recs, q.SortBy, q.Top)
+	if exp.Artifacts == nil {
+		exp.Artifacts = []ArtifactRecord{}
 	}
-	_, saved, rent, net := l.Totals()
-	exp := ledgerExport{
-		Count:     len(recs),
-		Tracked:   l.Len(),
-		Dropped:   l.Dropped(),
-		SavedSec:  saved,
-		RentSec:   rent,
-		NetSec:    net,
-		Artifacts: recs,
-	}
+	exp.Count = len(exp.Artifacts)
 	blob, err := json.MarshalIndent(exp, "", "  ")
 	if err != nil {
 		return err
@@ -619,13 +613,13 @@ const topListTextK = 5
 // aggregate economics, the per-artifact table, and top-saver/top-waster
 // lists by net benefit.
 func (l *ArtifactLedger) WriteText(w io.Writer, q ArtifactQuery) {
-	recs := l.Snapshot(q)
-	tracked, saved, rent, net := l.Totals()
-	quarantined := l.Len() - tracked
+	exp, tracked, recs := l.read(q.ID)
+	byNet := sortRecords(append([]ArtifactRecord(nil), recs...), "net", 0)
+	recs = sortRecords(recs, q.SortBy, q.Top)
 	fmt.Fprintf(w, "artifacts: %d tracked (%d quarantined), %d dropped\n",
-		l.Len(), quarantined, l.Dropped())
+		exp.Tracked, exp.Tracked-tracked, exp.Dropped)
 	fmt.Fprintf(w, "economics: saved %.6fs  rent %.6fs  net %+.6fs (quarantined excluded)\n\n",
-		saved, rent, net)
+		exp.SavedSec, exp.RentSec, exp.NetSec)
 	fmt.Fprintf(w, "%-20s %-7s %10s %6s %5s %5s %12s %12s %12s %6s\n",
 		"ARTIFACT", "TIER", "BYTES", "REUSE", "MEM", "DISK", "SAVED_S", "RENT_S", "NET_S", "QUAR")
 	for _, r := range recs {
@@ -637,7 +631,6 @@ func (l *ArtifactLedger) WriteText(w io.Writer, q ArtifactQuery) {
 			r.ID, r.Tier, r.Bytes, r.Reuse, r.MemoryHits, r.DiskHits,
 			r.SavedSec, r.RentSec, r.NetSec, quar)
 	}
-	byNet := l.Snapshot(ArtifactQuery{SortBy: "net", ID: q.ID})
 	savers := make([]ArtifactRecord, 0, topListTextK)
 	for _, r := range byNet {
 		if r.NetSec > 0 && len(savers) < topListTextK {

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -316,5 +317,40 @@ func TestSelfCheckLedgerGolden(t *testing.T) {
 				t.Errorf("%s drifted from golden file.\ngot:\n%s\nwant:\n%s", tc.golden, buf.Bytes(), want)
 			}
 		})
+	}
+}
+
+// TestLedgerExportOneReading pins that an export reads the ledger once: with
+// a clock that advances on every read, the envelope's rent must still equal
+// the sum of the rents of the non-quarantined records it lists.
+func TestLedgerExportOneReading(t *testing.T) {
+	l := NewArtifactLedger(8)
+	now := time.Unix(1700000000, 0).UTC()
+	l.SetClock(func() time.Time { now = now.Add(time.Second); return now })
+	l.SetRentRate("memory", 0.001)
+	l.SetRentRate("disk", 0.01)
+	l.Event("a", ArtifactMaterialized, "memory", 100, "")
+	l.Event("b", ArtifactMaterialized, "memory", 300, "")
+	l.Event("b", ArtifactDemoted, "disk", 300, "")
+	l.Event("c", ArtifactRecovered, "disk", 50, "")
+	l.Event("c", ArtifactQuarantined, "disk", 0, "")
+
+	var buf bytes.Buffer
+	if err := l.WriteJSON(&buf, ArtifactQuery{}); err != nil {
+		t.Fatal(err)
+	}
+	var exp ledgerExport
+	if err := json.Unmarshal(buf.Bytes(), &exp); err != nil {
+		t.Fatal(err)
+	}
+	sum := 0.0
+	for _, r := range exp.Artifacts {
+		if !r.Quarantined {
+			sum += r.RentSec
+		}
+	}
+	if exp.Count != 3 || exp.Tracked != 3 || math.Abs(exp.RentSec-sum) > 1e-6 {
+		t.Fatalf("envelope rent_sec %v vs records' sum %v (count %d, tracked %d)",
+			exp.RentSec, sum, exp.Count, exp.Tracked)
 	}
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"sync"
 	"time"
 )
 
@@ -38,20 +37,20 @@ type ChromeTrace struct {
 // guard argument construction behind a nil check to keep hot paths
 // allocation-free.
 type Trace struct {
-	mu      sync.Mutex
-	epoch   time.Time
-	events  []TraceEvent
-	max     int // 0 = unbounded
-	dropped int64
+	epoch  time.Time
+	events *Ring[TraceEvent]
 }
 
 // NewTrace returns an unbounded recorder whose epoch is now.
-func NewTrace() *Trace { return &Trace{epoch: time.Now()} }
+func NewTrace() *Trace { return NewTraceCapped(0) }
 
-// NewTraceCapped returns a recorder that keeps at most max events; once
-// full, further events are counted as dropped. Use for long-running
-// servers where the trace is scraped periodically and Reset.
-func NewTraceCapped(max int) *Trace { return &Trace{epoch: time.Now(), max: max} }
+// NewTraceCapped returns a rolling recorder that keeps the newest max
+// events (max <= 0: all of them); older events are evicted and counted as
+// dropped. Long-running servers use it so the trace always covers the
+// most recent requests.
+func NewTraceCapped(max int) *Trace {
+	return &Trace{epoch: time.Now(), events: NewRing[TraceEvent](max, nil)}
+}
 
 // Enabled reports whether the recorder is non-nil, for call sites that
 // want a readable guard.
@@ -61,23 +60,13 @@ func (t *Trace) sinceEpochMicros(ts time.Time) float64 {
 	return float64(ts.Sub(t.epoch).Nanoseconds()) / 1e3
 }
 
-func (t *Trace) append(ev TraceEvent) {
-	t.mu.Lock()
-	if t.max > 0 && len(t.events) >= t.max {
-		t.dropped++
-	} else {
-		t.events = append(t.events, ev)
-	}
-	t.mu.Unlock()
-}
-
 // Span records a complete ("X") event covering [start, start+dur) on the
 // given thread lane.
 func (t *Trace) Span(name, cat string, tid int, start time.Time, dur time.Duration, args map[string]any) {
 	if t == nil {
 		return
 	}
-	t.append(TraceEvent{
+	t.events.Push(TraceEvent{
 		Name: name, Cat: cat, Ph: "X",
 		TS: t.sinceEpochMicros(start), Dur: float64(dur.Nanoseconds()) / 1e3,
 		PID: 1, TID: tid, Args: args,
@@ -89,7 +78,7 @@ func (t *Trace) Instant(name, cat string, tid int, args map[string]any) {
 	if t == nil {
 		return
 	}
-	t.append(TraceEvent{
+	t.events.Push(TraceEvent{
 		Name: name, Cat: cat, Ph: "i", S: "t",
 		TS:  t.sinceEpochMicros(time.Now()),
 		PID: 1, TID: tid, Args: args,
@@ -101,9 +90,7 @@ func (t *Trace) Len() int {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events)
+	return t.events.Len()
 }
 
 // Cap returns the recorder's event capacity, 0 when unbounded. It feeds
@@ -112,41 +99,23 @@ func (t *Trace) Cap() int {
 	if t == nil {
 		return 0
 	}
-	return t.max
+	return t.events.Cap()
 }
 
-// Dropped returns how many events the cap discarded.
+// Dropped returns how many events the cap evicted.
 func (t *Trace) Dropped() int64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
+	return t.events.Dropped()
 }
 
-// Events returns a copy of the recorded events in append order.
+// Events returns a copy of the retained events, oldest first.
 func (t *Trace) Events() []TraceEvent {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]TraceEvent, len(t.events))
-	copy(out, t.events)
-	return out
-}
-
-// Reset discards all recorded events and the drop count; the epoch is
-// preserved so timestamps across resets stay on one timeline.
-func (t *Trace) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.events = nil
-	t.dropped = 0
-	t.mu.Unlock()
+	return t.events.Snapshot()
 }
 
 // WriteChrome exports the trace as a Chrome trace_event JSON object.

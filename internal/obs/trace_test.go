@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -65,16 +66,21 @@ func TestNilTraceExportsValidJSON(t *testing.T) {
 	}
 }
 
+// TestTraceCapDropsAndCounts pins the rolling-buffer contract: a capped
+// trace keeps the newest events, oldest first, and counts the evicted ones.
 func TestTraceCapDropsAndCounts(t *testing.T) {
 	tr := NewTraceCapped(2)
 	for i := 0; i < 5; i++ {
-		tr.Instant("e", "c", 0, nil)
+		tr.Instant(fmt.Sprintf("e%d", i), "c", 0, nil)
 	}
-	if tr.Len() != 2 {
-		t.Fatalf("capped trace holds %d events, want 2", tr.Len())
+	if tr.Len() != 2 || tr.Cap() != 2 {
+		t.Fatalf("capped trace holds %d/%d events, want 2/2", tr.Len(), tr.Cap())
 	}
 	if tr.Dropped() != 3 {
 		t.Fatalf("dropped = %d, want 3", tr.Dropped())
+	}
+	if evs := tr.Events(); evs[0].Name != "e3" || evs[1].Name != "e4" {
+		t.Fatalf("capped trace kept [%s %s], want the newest [e3 e4]", evs[0].Name, evs[1].Name)
 	}
 	var buf bytes.Buffer
 	if err := tr.WriteChrome(&buf); err != nil {
@@ -86,9 +92,5 @@ func TestTraceCapDropsAndCounts(t *testing.T) {
 	}
 	if got.OtherData["droppedEvents"] != float64(3) {
 		t.Errorf("otherData = %v, want droppedEvents 3", got.OtherData)
-	}
-	tr.Reset()
-	if tr.Len() != 0 || tr.Dropped() != 0 {
-		t.Error("reset should clear events and drop count")
 	}
 }

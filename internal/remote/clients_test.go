@@ -81,15 +81,15 @@ func TestClientsEndpointFallsBackToRemoteAddr(t *testing.T) {
 	req := httptest.NewRequest("GET", "/healthz", nil)
 	req.RemoteAddr = "10.1.2.3:55555"
 	h.ServeHTTP(httptest.NewRecorder(), req)
-	rows := srv.Clients().Snapshot()
+	rows := h.clients.Snapshot()
 	if len(rows) != 1 || rows[0].Client != "10.1.2.3" {
 		t.Fatalf("rows = %+v, want one 10.1.2.3 row", rows)
 	}
 }
 
 func TestClientsEndpointDisabled(t *testing.T) {
-	srv := core.NewServer(store.New(cost.Memory()), core.WithClientTable(nil))
-	h := NewHandler(srv)
+	srv := core.NewServer(store.New(cost.Memory()))
+	h := NewHandler(srv, WithClientTable(nil))
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, httptest.NewRequest("GET", "/v1/clients", nil))
 	if w.Code != http.StatusNotFound {

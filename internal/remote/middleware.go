@@ -6,7 +6,6 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"strconv"
 	"time"
 
 	"repro/internal/obs"
@@ -147,6 +146,21 @@ func WithInstrumentation(enabled bool) HandlerOption {
 	return func(h *Handler) { h.instrument = enabled }
 }
 
+// WithFlightRecorder replaces the default request flight recorder (a
+// DefaultFlightCap-entry ring) behind GET /v1/requests. Pass a larger
+// ring to keep more history, or nil to disable recording entirely.
+func WithFlightRecorder(f *obs.FlightRecorder) HandlerOption {
+	return func(h *Handler) { h.flight = f }
+}
+
+// WithClientTable replaces the default per-client attribution table (a
+// DefaultClientCap-entry table) behind GET /v1/clients. Pass a larger
+// table to track more distinct clients, or nil to disable attribution
+// entirely.
+func WithClientTable(t *obs.ClientTable) HandlerOption {
+	return func(h *Handler) { h.clients = t }
+}
+
 // WithSlowRequestWarn logs a slog warning for any request slower than
 // threshold (0, the default, disables the warning). Requires a handler
 // logger and instrumentation to be active.
@@ -186,48 +200,11 @@ func (h *Handler) readyz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintln(w, "ready")
 }
 
-// requests serves the flight recorder as byte-stable JSON. Query
-// parameters:
-//
-//	route=/v1/optimize  keep only this route
-//	min=50ms            keep only requests at least this slow
-//	limit=20            keep only the most recent N matches
-//
-// 404 when the server runs with the flight recorder disabled.
-func (h *Handler) requests(w http.ResponseWriter, r *http.Request) {
-	fr := h.srv.Flight()
-	if !fr.Enabled() {
-		http.Error(w, "flight recorder disabled on this server", http.StatusNotFound)
-		return
-	}
-	q := r.URL.Query()
-	var filter obs.RequestFilter
-	filter.Route = q.Get("route")
-	if min := q.Get("min"); min != "" {
-		d, err := time.ParseDuration(min)
-		if err != nil {
-			http.Error(w, "bad min duration: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		filter.MinWall = d
-	}
-	if limit := q.Get("limit"); limit != "" {
-		n, err := strconv.Atoi(limit)
-		if err != nil || n < 0 {
-			http.Error(w, "bad limit "+limit, http.StatusBadRequest)
-			return
-		}
-		filter.Limit = n
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = fr.WriteJSON(w, filter)
-}
-
 // serveInstrumented is the measured request path: inflight gauge up,
 // counting body reader in, dispatch, then histogram/counter updates, the
 // flight-recorder summary, the access log line, and the slow-request
 // warning.
-func (h *Handler) serveInstrumented(w http.ResponseWriter, r *http.Request, rid string) {
+func (h *Handler) serveInstrumented(w http.ResponseWriter, r *http.Request, sc *obs.RequestSummary) {
 	route := routeLabel(r.URL.Path)
 	ri := h.metrics.routes[route]
 	cr := &countingReader{rc: r.Body}
@@ -242,30 +219,28 @@ func (h *Handler) serveInstrumented(w http.ResponseWriter, r *http.Request, rid 
 	ri.byClass[statusClass(sw.status)].Inc()
 	ri.reqBytes.Add(cr.n)
 	ri.respBytes.Add(sw.bytes)
-	// Record returns the summary merged with the optimizer's in-flight
-	// annotation (plan time, lock wait), so the per-client table sees the
-	// enriched view, not just the transport facts.
-	merged := h.srv.Flight().Record(obs.RequestSummary{
-		RequestID:     rid,
-		Method:        r.Method,
-		Route:         route,
-		Status:        sw.status,
-		StartUnixNano: timer.StartedAt().UnixNano(),
-		WallNanos:     elapsed.Nanoseconds(),
-		BytesIn:       cr.n,
-		BytesOut:      sw.bytes,
-	})
-	h.srv.Clients().Observe(clientLabel(r), merged)
+	// The handler already put the optimizer facts (plan time, lock wait)
+	// on the scope, so the flight recorder and the per-client table both
+	// see the enriched view, not just the transport facts.
+	sc.Method = r.Method
+	sc.Route = route
+	sc.Status = sw.status
+	sc.StartUnixNano = timer.StartedAt().UnixNano()
+	sc.WallNanos = elapsed.Nanoseconds()
+	sc.BytesIn = cr.n
+	sc.BytesOut = sw.bytes
+	h.flight.Record(*sc)
+	h.clients.Observe(clientLabel(r), *sc)
 	if h.log != nil {
 		h.log.Info("http",
-			slog.String(obs.RequestIDKey, rid),
+			slog.String(obs.RequestIDKey, sc.RequestID),
 			slog.String("method", r.Method),
 			slog.String("path", r.URL.Path),
 			slog.Int("status", sw.status),
 			slog.Duration("elapsed", elapsed))
 		if h.slowWarn > 0 && elapsed > h.slowWarn {
 			h.log.Warn("slow request",
-				slog.String(obs.RequestIDKey, rid),
+				slog.String(obs.RequestIDKey, sc.RequestID),
 				slog.String("method", r.Method),
 				slog.String("path", r.URL.Path),
 				slog.Int("status", sw.status),

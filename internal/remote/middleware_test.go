@@ -179,6 +179,9 @@ func TestRequestsEndpoint(t *testing.T) {
 			}
 		case "/v1/update":
 			sawUpdate = true
+			if s.Vertices == 0 {
+				t.Errorf("update summary missing merge annotation: %+v", s)
+			}
 		}
 	}
 	if !sawOptimize || !sawUpdate {
@@ -215,8 +218,8 @@ func TestRequestsEndpoint(t *testing.T) {
 }
 
 func TestRequestsEndpointDisabled(t *testing.T) {
-	srv := core.NewServer(store.New(cost.Memory()), core.WithFlightRecorder(nil))
-	h := NewHandler(srv)
+	srv := core.NewServer(store.New(cost.Memory()))
+	h := NewHandler(srv, WithFlightRecorder(nil))
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, httptest.NewRequest("GET", "/v1/requests", nil))
 	if w.Code != http.StatusNotFound {
@@ -320,8 +323,8 @@ func TestInstrumentationDisabled(t *testing.T) {
 	if strings.Contains(b.String(), "collab_http_requests_total") {
 		t.Error("serving metrics registered despite WithInstrumentation(false)")
 	}
-	if srv.Flight().Len() != 0 {
-		t.Errorf("flight recorder has %d entries despite disabled instrumentation", srv.Flight().Len())
+	if h.flight.Len() != 0 {
+		t.Errorf("flight recorder has %d entries despite disabled instrumentation", h.flight.Len())
 	}
 }
 

@@ -9,11 +9,9 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sort"
-	"strconv"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/explain"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -37,6 +35,12 @@ type Handler struct {
 	metrics    *httpMetrics
 	slowWarn   time.Duration
 	readyCheck func() error
+	// flight is the request flight recorder behind /v1/requests and
+	// clients the per-client attribution table behind /v1/clients; the
+	// middleware feeds both one finished request at a time. Default-on
+	// with small caps; nil disables either.
+	flight  *obs.FlightRecorder
+	clients *obs.ClientTable
 }
 
 // HandlerOption configures the HTTP façade.
@@ -68,38 +72,54 @@ func WithPprof(enabled bool) HandlerOption {
 
 // NewHandler builds the HTTP façade over a server.
 func NewHandler(srv *core.Server, opts ...HandlerOption) *Handler {
-	h := &Handler{srv: srv, mux: http.NewServeMux(), instrument: true}
+	h := &Handler{
+		srv:        srv,
+		mux:        http.NewServeMux(),
+		instrument: true,
+		flight:     obs.NewFlightRecorder(0),
+		clients:    obs.NewClientTable(0),
+	}
 	h.mux.HandleFunc("POST /v1/optimize", h.optimize)
 	h.mux.HandleFunc("POST /v1/update", h.update)
 	h.mux.HandleFunc("GET /v1/artifact", h.getArtifact)
 	h.mux.HandleFunc("POST /v1/artifact", h.putArtifact)
 	h.mux.HandleFunc("GET /v1/stats", h.stats)
-	h.mux.HandleFunc("GET /v1/calibration", h.calibration)
 	h.mux.Handle("GET /metrics", srv.Metrics().Handler())
-	h.mux.HandleFunc("GET /v1/trace", h.trace)
-	h.mux.HandleFunc("GET /v1/explain", h.explain)
-	h.mux.HandleFunc("GET /v1/requests", h.requests)
-	h.mux.HandleFunc("GET /v1/clients", h.clients)
-	h.mux.HandleFunc("GET /v1/critpath", h.critpath)
-	h.mux.HandleFunc("GET /v1/artifacts", h.artifacts)
 	h.mux.HandleFunc("GET /healthz", h.healthz)
 	h.mux.HandleFunc("GET /readyz", h.readyz)
+	h.registerDebugRoutes()
 	for _, o := range opts {
 		o(h)
 	}
+	reg := srv.Metrics()
 	if h.instrument {
-		h.metrics = newHTTPMetrics(srv.Metrics())
+		h.metrics = newHTTPMetrics(reg)
+	}
+	if h.flight != nil {
+		reg.GaugeFunc("collab_flight_requests", "request summaries retained by the flight recorder",
+			func() float64 { return float64(h.flight.Len()) })
+		reg.GaugeFunc("collab_flight_capacity", "flight recorder ring capacity",
+			func() float64 { return float64(h.flight.Cap()) })
+	}
+	if h.clients != nil {
+		// The cap plus one overflow bucket is the ceiling.
+		reg.GaugeFunc("collab_clients_tracked", "distinct clients in the attribution table",
+			func() float64 { return float64(h.clients.Len()) })
 	}
 	return h
 }
 
-// ridKey carries the request ID through the request context.
-type ridKey struct{}
+// scopeKey keys the request's one context value: the *obs.RequestSummary
+// that ServeHTTP opens with the request ID, the optimize/update/artifact
+// handlers fill with the optimizer facts core returns (plan shape, plan
+// time, lock wait), and the middleware completes with the transport facts
+// and records.
+type scopeKey struct{}
 
-// requestID extracts the correlation ID the middleware stored.
-func requestID(r *http.Request) string {
-	id, _ := r.Context().Value(ridKey{}).(string)
-	return id
+// scope returns the request's summary in progress. The mux is reachable
+// only through ServeHTTP, which always sets it.
+func scope(r *http.Request) *obs.RequestSummary {
+	return r.Context().Value(scopeKey{}).(*obs.RequestSummary)
 }
 
 // statusWriter captures the response status and body size for the access
@@ -131,9 +151,10 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		rid = obs.NewRequestID()
 	}
 	w.Header().Set(obs.RequestIDHeader, rid)
-	r = r.WithContext(context.WithValue(r.Context(), ridKey{}, rid))
+	sc := &obs.RequestSummary{RequestID: rid}
+	r = r.WithContext(context.WithValue(r.Context(), scopeKey{}, sc))
 	if h.instrument {
-		h.serveInstrumented(w, r, rid)
+		h.serveInstrumented(w, r, sc)
 		return
 	}
 	if h.log == nil {
@@ -158,7 +179,11 @@ func (h *Handler) optimize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	dag := FromWire(req.Nodes)
-	opt := h.srv.OptimizeReq(dag, requestID(r))
+	sc := scope(r)
+	opt := h.srv.OptimizeReq(dag, sc.RequestID)
+	sc.Vertices, sc.Reused = dag.Len(), len(opt.Plan.Reuse)
+	sc.Computes, sc.Warmstarts = opt.Plan.Stats.Computes, len(opt.Warmstarts)
+	sc.PlanNanos, sc.LockWaitNanos = opt.Overhead.Nanoseconds(), opt.LockWait.Nanoseconds()
 	resp := OptimizeResponse{Warmstarts: opt.Warmstarts, Overhead: opt.Overhead}
 	for id := range opt.Plan.Reuse {
 		resp.ReuseIDs = append(resp.ReuseIDs, id)
@@ -181,12 +206,23 @@ func (h *Handler) update(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	dag := FromWire(req.Nodes)
+	sc := scope(r)
 	// The run summary must land before the update: the server folds it into
 	// the scorecard it builds while folding the executed DAG into the EG.
 	if req.Run != nil {
-		h.srv.ReportRun(*req.Run, requestID(r))
+		h.srv.ReportRun(*req.Run, sc.RequestID)
 	}
-	want := h.srv.UpdateMetaReq(dag, requestID(r))
+	// The optimize phase of the same run recorded its own summary already
+	// (separate HTTP request), so the update carries only what it knows:
+	// how many vertices merged and how many the client loaded from EG.
+	sc.Vertices = dag.Len()
+	for _, n := range dag.Nodes() {
+		if n.LoadedFromEG {
+			sc.Reused++
+		}
+	}
+	want, lockWait := h.srv.UpdateMetaReq(dag, sc.RequestID)
+	sc.LockWaitNanos = lockWait.Nanoseconds()
 	// Record column lineage (dedup accounting) and model kinds (warmstart
 	// donor matching), which travel outside the artifact content.
 	for _, wn := range req.Nodes {
@@ -230,7 +266,10 @@ func (h *Handler) putArtifact(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "empty artifact", http.StatusBadRequest)
 		return
 	}
-	if err := h.srv.PutArtifactReq(id, env.Content, requestID(r)); err != nil {
+	sc := scope(r)
+	lockWait, err := h.srv.PutArtifactReq(id, env.Content, sc.RequestID)
+	sc.LockWaitNanos = lockWait.Nanoseconds()
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
@@ -284,202 +323,6 @@ func (h *Handler) stats(w http.ResponseWriter, _ *http.Request) {
 
 func secondsToDuration(s float64) time.Duration {
 	return time.Duration(s * float64(time.Second))
-}
-
-// calibration serves the calibration report. Query parameters:
-//
-//	format=json|text  rendering (default json, byte-stable for a given
-//	                  collector state)
-func (h *Handler) calibration(w http.ResponseWriter, r *http.Request) {
-	report := h.srv.Calibration().Snapshot()
-	switch format := r.URL.Query().Get("format"); format {
-	case "", "json":
-		w.Header().Set("Content-Type", "application/json")
-		_ = report.WriteJSON(w)
-	case "text":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_ = report.WriteText(w)
-	default:
-		http.Error(w, "unknown format "+format, http.StatusBadRequest)
-	}
-}
-
-// explain serves the most recent decision record. Query parameters:
-//
-//	kind=optimize|update  which record (default optimize)
-//	format=json|text|dot  rendering (default json)
-//	target=eg             with format=dot, render the whole Experiment
-//	                      Graph annotated with costs instead of a record
-//
-// 404 unless the server was started with explain capture enabled
-// (core.WithExplain) and at least one matching record exists.
-func (h *Handler) explain(w http.ResponseWriter, r *http.Request) {
-	rec := h.srv.Explain()
-	if !rec.Enabled() {
-		http.Error(w, "explain disabled on this server", http.StatusNotFound)
-		return
-	}
-	q := r.URL.Query()
-	format := q.Get("format")
-	if format == "" {
-		format = "json"
-	}
-	if q.Get("target") == "eg" {
-		if format != "dot" {
-			http.Error(w, "target=eg requires format=dot", http.StatusBadRequest)
-			return
-		}
-		w.Header().Set("Content-Type", "text/vnd.graphviz")
-		explain.WriteEGDOT(h.srv.EG, w)
-		return
-	}
-	kind := q.Get("kind")
-	if kind == "" {
-		kind = explain.KindOptimize
-	}
-	record := rec.Last(kind)
-	if record == nil {
-		http.Error(w, "no explain record of kind "+kind, http.StatusNotFound)
-		return
-	}
-	switch format {
-	case "json":
-		w.Header().Set("Content-Type", "application/json")
-		_ = record.WriteJSON(w)
-	case "text":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		record.WriteText(w)
-	case "dot":
-		w.Header().Set("Content-Type", "text/vnd.graphviz")
-		record.WriteDOT(w)
-	default:
-		http.Error(w, "unknown format "+format, http.StatusBadRequest)
-	}
-}
-
-// trace serves the server-side timeline as Chrome trace_event JSON, ready
-// for chrome://tracing or Perfetto. 404 unless the server was started
-// with tracing enabled (core.WithTracing).
-func (h *Handler) trace(w http.ResponseWriter, _ *http.Request) {
-	tr := h.srv.Trace()
-	if tr == nil {
-		http.Error(w, "tracing disabled on this server", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = tr.WriteChrome(w)
-}
-
-// clients serves the per-client attribution table. Query parameters:
-//
-//	format=json|text  rendering (default json, byte-stable for a given
-//	                  table state)
-//
-// 404 when the server runs with client attribution disabled.
-func (h *Handler) clients(w http.ResponseWriter, r *http.Request) {
-	ct := h.srv.Clients()
-	if !ct.Enabled() {
-		http.Error(w, "client attribution disabled on this server", http.StatusNotFound)
-		return
-	}
-	switch format := r.URL.Query().Get("format"); format {
-	case "", "json":
-		w.Header().Set("Content-Type", "application/json")
-		_ = ct.WriteJSON(w)
-	case "text":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		ct.WriteText(w)
-	default:
-		http.Error(w, "unknown format "+format, http.StatusBadRequest)
-	}
-}
-
-// artifacts serves the artifact lifecycle ledger: per-artifact event
-// history plus storage economics (reuse counts, realized savings, rent,
-// net benefit). Query parameters:
-//
-//	sort=net|saved|rent|reuse|bytes|id  ordering (default net benefit,
-//	                                    descending; id ascending)
-//	top=10            keep only the first N artifacts after sorting
-//	id=<vertex id>    keep only this artifact
-//	format=json|text  rendering (default json, byte-stable for a given
-//	                  ledger state; text adds top-saver/top-waster lists)
-//
-// 404 when the server runs with the artifact ledger disabled.
-func (h *Handler) artifacts(w http.ResponseWriter, r *http.Request) {
-	led := h.srv.ArtifactLedger()
-	if !led.Enabled() {
-		http.Error(w, "artifact ledger disabled on this server", http.StatusNotFound)
-		return
-	}
-	q := r.URL.Query()
-	query := obs.ArtifactQuery{SortBy: q.Get("sort"), ID: q.Get("id")}
-	if !obs.ValidArtifactSort(query.SortBy) {
-		http.Error(w, "unknown sort "+query.SortBy, http.StatusBadRequest)
-		return
-	}
-	if top := q.Get("top"); top != "" {
-		n, err := strconv.Atoi(top)
-		if err != nil || n < 0 {
-			http.Error(w, "bad top "+top, http.StatusBadRequest)
-			return
-		}
-		query.Top = n
-	}
-	switch format := q.Get("format"); format {
-	case "", "json":
-		w.Header().Set("Content-Type", "application/json")
-		_ = led.WriteJSON(w, query)
-	case "text":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		led.WriteText(w, query)
-	default:
-		http.Error(w, "unknown format "+format, http.StatusBadRequest)
-	}
-}
-
-// critpath analyzes the server-side trace buffer's critical path. Query
-// parameters:
-//
-//	request=<id>      restrict to spans tagged with this request ID
-//	format=json|text  rendering (default json, byte-stable for a given
-//	                  trace state)
-//	top=5             how many top contributors to list
-//
-// 404 unless tracing is enabled; also 404 when a request filter matches no
-// spans (the request was never traced, or its spans were dropped).
-func (h *Handler) critpath(w http.ResponseWriter, r *http.Request) {
-	tr := h.srv.Trace()
-	if tr == nil {
-		http.Error(w, "tracing disabled on this server", http.StatusNotFound)
-		return
-	}
-	q := r.URL.Query()
-	topK := obs.DefaultCritPathTopK
-	if top := q.Get("top"); top != "" {
-		n, err := strconv.Atoi(top)
-		if err != nil || n < 0 {
-			http.Error(w, "bad top "+top, http.StatusBadRequest)
-			return
-		}
-		topK = n
-	}
-	request := q.Get("request")
-	rep := obs.AnalyzeCritPath(tr.Events(), request, topK)
-	if request != "" && rep.Spans == 0 {
-		http.Error(w, "no trace spans for request "+request, http.StatusNotFound)
-		return
-	}
-	switch format := q.Get("format"); format {
-	case "", "json":
-		w.Header().Set("Content-Type", "application/json")
-		_ = rep.WriteJSON(w)
-	case "text":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		rep.WriteText(w)
-	default:
-		http.Error(w, "unknown format "+format, http.StatusBadRequest)
-	}
 }
 
 // artifactEnvelope wraps the Artifact interface for gob transport.
